@@ -15,9 +15,12 @@
 //! append} — over a page-size sweep; split target ½; split tolerance ⅒ of
 //! a page; 2 MB buffer, cleared before every measured operation. Times are
 //! the simulated-disk milliseconds of the DCAS 34330W model
-//! ([`natix::DiskProfile::dcas_34330w`]); see DESIGN.md for why wall-clock
-//! on modern hardware cannot reproduce the paper's numbers while the model
-//! reproduces their shape.
+//! ([`natix::DiskProfile::dcas_34330w`]). Wall-clock on modern hardware
+//! cannot reproduce the paper's numbers: a solid-state or cached read
+//! costs microseconds regardless of placement, so the seek-and-rotation
+//! penalties that separate the paper's configurations vanish. The model
+//! charges those penalties per access and so reproduces the figures'
+//! shape.
 
 use natix::{DocId, NatixResult, PathQuery, Repository, RepositoryOptions, SplitMatrix};
 use natix_corpus::{generate_play, incremental_order, Anchor, CorpusConfig, PlayDoc};

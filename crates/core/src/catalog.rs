@@ -190,9 +190,16 @@ pub(crate) fn store_plain_document(tree: &TreeStore, doc: &Document) -> NatixRes
 pub fn save_catalog(repo: &Repository) -> NatixResult<()> {
     let cs = CatalogSymbols::new();
     let doc = build_catalog_doc(repo, &cs);
-    // Drop the previous catalog tree, if any.
+    // Drop the previous catalog tree, if any, and return its pages to the
+    // free pool: the catalog segment holds nothing else, and the bulkload
+    // below appends to fresh pages, so keeping them would leave one more
+    // empty page behind at every checkpoint.
     if let Some(old) = read_catalog_root(repo)? {
         repo.catalog_tree.drop_tree(old)?;
+        let segment = repo.catalog_tree.segment();
+        for (page, _) in repo.sm.segment_pages(segment) {
+            repo.sm.free_page(segment, page)?;
+        }
     }
     let rid = store_plain_document(&repo.catalog_tree, &doc)?;
     let mut root = [0u8; 14];
@@ -355,6 +362,33 @@ mod tests {
             // DTD survived.
             assert!(repo.schema().dtd("play").is_some());
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn checkpoints_reuse_the_catalog_pages() {
+        let dir = std::env::temp_dir().join(format!("natix-cat3-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("repo.natix");
+        {
+            let repo = Repository::create_file(&path, RepositoryOptions::default()).unwrap();
+            for i in 0..40 {
+                repo.put_xml(&format!("doc-{i}"), "<a><b>x</b></a>").unwrap();
+            }
+            repo.checkpoint().unwrap();
+            let pages = repo.storage().allocated_pages();
+            for _ in 0..5 {
+                repo.checkpoint().unwrap();
+            }
+            assert_eq!(
+                repo.storage().allocated_pages(),
+                pages,
+                "each catalog rewrite must reuse the pages of the one it replaces"
+            );
+        }
+        let repo = Repository::open_file(&path, RepositoryOptions::default()).unwrap();
+        assert_eq!(repo.document_names().len(), 40);
+        assert_eq!(repo.get_xml("doc-39").unwrap(), "<a><b>x</b></a>");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -26,6 +26,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use natix_storage::wal::log_suppressed;
 use natix_storage::Rid;
 use natix_tree::{BulkStats, InsertPos, NewNode, NodePtr, OpResult, TreeStore, VisitEvent};
 use natix_xml::{Document, LiteralValue, NodeData, SymbolTable, LABEL_TEXT};
@@ -161,13 +162,17 @@ impl DocState {
     /// when the moving operation's epoch does. Readers pinned below
     /// `epoch` keep starting from `old` (whose pre-image the operation
     /// deposited).
-    fn publish_root_move(&self, old: Rid, new: Rid, epoch: u64, floor: u64) {
+    ///
+    /// Returns whether the root moved.
+    fn publish_root_move(&self, old: Rid, new: Rid, epoch: u64, floor: u64) -> bool {
         let mut r = self.root.lock();
-        if r.current == old {
+        let moved = r.current == old;
+        if moved {
             r.old.push((epoch, old));
             r.current = new;
         }
         r.old.retain(|&(valid_until, _)| valid_until > floor);
+        moved
     }
 
     /// Publish hook of a document deletion: readers pinned below `epoch`
@@ -338,11 +343,29 @@ impl Repository {
         state.apply_relocations(res);
         if let Some((old, new)) = res.root_moved {
             let st = Arc::clone(state);
+            let registry = Arc::clone(&self.registry);
+            let wal = self.wal.clone().filter(|_| !log_suppressed());
+            let op = self.tree.versions().ambient_write_op();
             let deferred = self
                 .tree
                 .versions()
                 .defer_until_publish(move |epoch, floor| {
-                    st.publish_root_move(old, new, epoch, floor)
+                    // The new root is durable with the operation that
+                    // moved it: a small committed-only record recovery
+                    // folds in after the directory payload. Logged under
+                    // the registry lock, like every directory change, so
+                    // a registration payload captured concurrently lands
+                    // on the same side of it in the log as in memory.
+                    let _reg = wal.as_ref().map(|_| registry.lock());
+                    if st.publish_root_move(old, new, epoch, floor) {
+                        if let (Some(w), Some(op)) = (&wal, op) {
+                            w.append(&natix_storage::WalRecord::RootMove {
+                                op,
+                                name: st.name.clone(),
+                                rid: new,
+                            });
+                        }
+                    }
                 });
             if !deferred {
                 state.set_root_now(old, new);

@@ -260,6 +260,7 @@ impl PathSummary {
         let mut pm = PathMatch {
             mult: vec![0u64; n],
             closure: vec![false; n],
+            descend: vec![false; n],
             matched: 0,
             visited: 0,
             enumerable: true,
@@ -320,6 +321,7 @@ impl PathSummary {
             if pm.closure[q] {
                 if let Some(p) = self.paths[q].parent {
                     pm.closure[p as usize] = true;
+                    pm.descend[p as usize] = true;
                 }
             }
         }
@@ -352,6 +354,9 @@ pub(crate) struct PathMatch {
     /// Ancestor-or-self closure of the final match set: the only paths a
     /// pruned descent needs to visit.
     pub(crate) closure: Vec<bool>,
+    /// Per path: some child path lies in the closure, so a pruned descent
+    /// must walk the children of nodes bearing it.
+    pub(crate) descend: Vec<bool>,
     /// Exact output cardinality: Σ mult · nodes.
     pub(crate) matched: u64,
     /// Σ nodes over the closure — the pruned descent's visit estimate.

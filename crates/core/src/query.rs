@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use natix_tree::NodePtr;
+use natix_tree::{ChildStep, NodePtr};
 use natix_xml::LABEL_TEXT;
 
 use crate::document::{DocId, NodeId};
@@ -213,11 +213,19 @@ enum PlanMode {
     Explain,
 }
 
-/// Adapts repository errors for use inside tree-store callbacks.
-fn to_tree_err(e: NatixError) -> natix_tree::TreeError {
-    match e {
-        NatixError::Tree(t) => t,
-        other => natix_tree::TreeError::Invariant(other.to_string()),
+/// Whether a node labelled `label` (a literal iff `literal`) passes
+/// `test`; `name_label` is the test's resolved name. Element, attribute
+/// and built-in label ids never collide, so a name match is a label match.
+fn test_matches(
+    test: &Test,
+    name_label: Option<natix_xml::LabelId>,
+    label: natix_xml::LabelId,
+    literal: bool,
+) -> bool {
+    match test {
+        Test::Any => !literal,
+        Test::Text => label == LABEL_TEXT,
+        Test::Name(_) => !literal && name_label == Some(label),
     }
 }
 
@@ -336,17 +344,20 @@ impl Repository {
         name_label: Option<natix_xml::LabelId>,
     ) -> NatixResult<bool> {
         let info = self.tree.node_info(ptr)?;
-        Ok(match &step.test {
-            Test::Any => info.value.is_none(),
-            Test::Text => info.label == LABEL_TEXT,
-            Test::Name(_) => info.value.is_none() && name_label.is_some_and(|l| info.label == l),
-        })
+        Ok(test_matches(
+            &step.test,
+            name_label,
+            info.label,
+            info.value.is_some(),
+        ))
     }
 
     /// Children of `ctx` matching the step; the positional predicate
     /// counts among the matching children only (XPath semantics). The walk
     /// is lazy: once `x[n]` is satisfied, no further sibling records are
-    /// read — essential for the paper's Query 2/3 access patterns.
+    /// read — essential for the paper's Query 2/3 access patterns. `ctx`'s
+    /// record is decoded once, and each child is matched on the label and
+    /// literal flag the walk reads from an already-decoded record.
     pub(crate) fn collect_children(
         &self,
         ctx: NodePtr,
@@ -355,23 +366,21 @@ impl Repository {
         out: &mut Vec<NodePtr>,
     ) -> NatixResult<()> {
         let mut seen = 0usize;
-        self.tree.for_each_logical_child(ctx, &mut |child| {
-            if self
-                .step_matches(child, step, name_label)
-                .map_err(to_tree_err)?
-            {
-                seen += 1;
-                match step.position {
-                    None => out.push(child),
-                    Some(p) if p == seen => {
-                        out.push(child);
-                        return Ok(false);
+        self.tree
+            .for_each_logical_child(ctx, &mut |child, label, literal| {
+                if test_matches(&step.test, name_label, label, literal) {
+                    seen += 1;
+                    match step.position {
+                        None => out.push(child),
+                        Some(p) if p == seen => {
+                            out.push(child);
+                            return Ok(false);
+                        }
+                        Some(_) => {}
                     }
-                    Some(_) => {}
                 }
-            }
-            Ok(true)
-        })?;
+                Ok(true)
+            })?;
         Ok(())
     }
 
@@ -793,12 +802,14 @@ impl Repository {
     /// Exactly equal to the lazy walk whenever the match is `enumerable`
     /// (enforced by the planner and the differential suite).
     ///
-    /// Children come from [`natix_tree::TreeStore::logical_children_labeled`],
-    /// so a pruned child behind a digested proxy costs *no page read*:
-    /// the proxy's label digest feeds `step_child` directly, and the
-    /// child record is only ever loaded if the descent actually enters
-    /// it. On a high-fanout root this is the difference between one read
-    /// per child and one read per *entered* child.
+    /// One record-granular walk
+    /// ([`natix_tree::TreeStore::descend_pruned`]): every record it
+    /// enters is loaded and decoded **once per query**, and nodes inside
+    /// it are matched on labels the decoded record already holds. A
+    /// pruned child behind a digested proxy costs *no page read*: the
+    /// proxy's label digest feeds `step_child` directly, and the child
+    /// record is only loaded if the descent enters it. Nodes whose path
+    /// has no child path in the closure are not entered at all.
     fn eval_summary_seeded(
         &self,
         root: NodePtr,
@@ -809,23 +820,20 @@ impl Repository {
         if !pm.closure.first().copied().unwrap_or(false) {
             return Ok(out);
         }
-        let mut stack: Vec<(NodePtr, u32)> = vec![(root, 0)];
-        while let Some((p, pid)) = stack.pop() {
-            if pm.mult[pid as usize] > 0 {
-                out.push(p);
-            }
-            let kids = self.tree.logical_children_labeled(p)?;
-            let mut frame = Vec::new();
-            for (k, label) in kids {
-                if let Some(cid) = summary.step_child(pid, label) {
-                    if pm.closure[cid as usize] {
-                        frame.push((k, cid));
+        if pm.mult[0] > 0 {
+            out.push(root);
+        }
+        if pm.descend[0] {
+            self.tree
+                .descend_pruned(root, 0u32, &mut out, |&pid, label, _| {
+                    match summary.step_child(pid, label) {
+                        Some(cid) if pm.closure[cid as usize] => ChildStep {
+                            emit: pm.mult[cid as usize] > 0,
+                            enter: pm.descend[cid as usize].then_some(cid),
+                        },
+                        _ => ChildStep::skip(),
                     }
-                }
-            }
-            for entry in frame.into_iter().rev() {
-                stack.push(entry);
-            }
+                })?;
         }
         Ok(out)
     }

@@ -17,6 +17,9 @@
 //! * **Allocation** — `Alloc`/`Free`/`SegCreate` events after the
 //!   checkpoint, folded into the snapshot's free list and segment
 //!   directory.
+//! * **Directory** — `Catalog` payloads (registrations), then the
+//!   committed `DocDelete` and `RootMove` records after the latest
+//!   payload, folded into the directory that recovery re-registers.
 //!
 //! The catalog *document* (the XML form of the directory, see
 //! [`crate::catalog`]) is **not** recovered from its pages: its rewrite
@@ -217,6 +220,7 @@ pub(crate) fn apply_directory(
     repo: &mut Repository,
     payload: &[u8],
     deletions: &HashSet<String>,
+    root_moves: &[(String, Rid)],
     symbol_batches: &[(u32, Vec<(u8, String)>)],
 ) -> NatixResult<()> {
     if payload.is_empty() {
@@ -262,6 +266,12 @@ pub(crate) fn apply_directory(
         let page = cur.u32()?;
         let slot = cur.u16()?;
         docs.push((name, Rid::new(page, slot)));
+    }
+    // Roots moved by operations committed after the payload was taken.
+    for (name, rid) in root_moves {
+        if let Some(doc) = docs.iter_mut().find(|(n, _)| n == name) {
+            doc.1 = *rid;
+        }
     }
 
     // 3. Split matrix.
@@ -318,6 +328,8 @@ pub(crate) struct RecoveryOutcome {
     pub(crate) directory: Vec<u8>,
     /// Documents whose committed deletion post-dates `directory`.
     pub(crate) deletions: HashSet<String>,
+    /// Committed root moves post-dating `directory`, in log order.
+    pub(crate) root_moves: Vec<(String, Rid)>,
     /// Alphabet-growth batches (`Symbols` records) in log order.
     pub(crate) symbols: Vec<(u32, Vec<(u8, String)>)>,
 }
@@ -522,11 +534,16 @@ pub(crate) fn replay(
         }
     }
     let mut deletions = HashSet::new();
+    let mut root_moves = Vec::new();
     for (lsn, r) in records {
-        if let WalRecord::DocDelete { op, name } = r {
-            if *lsn > dir_lsn && committed.contains(op) {
+        match r {
+            WalRecord::DocDelete { op, name } if *lsn > dir_lsn && committed.contains(op) => {
                 deletions.insert(name.clone());
             }
+            WalRecord::RootMove { op, name, rid } if *lsn > dir_lsn && committed.contains(op) => {
+                root_moves.push((name.clone(), *rid));
+            }
+            _ => {}
         }
     }
     let mut symbols = Vec::new();
@@ -540,6 +557,7 @@ pub(crate) fn replay(
         sm,
         directory,
         deletions,
+        root_moves,
         symbols,
     })
 }

@@ -254,6 +254,11 @@
 //! 2. At publish, the version store's commit hook captures a full page
 //!    image of every page the operation touched (`PageImage` records —
 //!    physical redo, idempotent by construction) and appends `Commit`.
+//!    Directory effects of the operation are appended by its publish
+//!    hooks under the registry lock: `DocDelete` for a dropped document,
+//!    `RootMove` (document name + new root RID) when a split moved a
+//!    document's root record. Recovery applies both only if the
+//!    operation committed, on top of the latest directory payload.
 //! 3. The **durability gate** every public write API passes through then
 //!    forces the log: `PerCommit` syncs immediately, `Group` joins a
 //!    bounded group-commit window so concurrent committers share one
@@ -640,6 +645,7 @@ impl Repository {
                 &mut repo,
                 &out.directory,
                 &out.deletions,
+                &out.root_moves,
                 &out.symbols,
             )?;
         } else if !fresh {

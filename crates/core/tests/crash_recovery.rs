@@ -523,6 +523,52 @@ fn recovery_reclaims_loser_allocations() {
     );
 }
 
+/// A structural edit that splits or relocates a document's root record
+/// moves the document's root; the move must be as durable as the edit.
+/// Checkpoint, grow the root's child list until the root record moves,
+/// crash without a checkpoint, reopen: the document must read back as
+/// it did before the crash, not as the fragment at its old root.
+#[test]
+fn root_moves_survive_recovery() {
+    let store = Arc::new(MemStorage::new(PAGE).unwrap());
+    let m = Machine::boot(Arc::clone(&store), Vec::new(), None);
+    let repo = Repository::create_on_backend_with_log(
+        m.backend(),
+        Box::new(Arc::clone(&m.log)),
+        options(),
+    )
+    .unwrap();
+    let (name, xml) = &shakespeare_docs()[0];
+    repo.put_xml_streaming(name, xml).unwrap();
+    repo.checkpoint().unwrap();
+
+    let d = repo.doc_id(name).unwrap();
+    let old_root = repo.root_rid(d).unwrap();
+    let mut grown = 0;
+    while repo.root_rid(d).unwrap() == old_root {
+        assert!(grown < 2000, "2000 inserts under the root never moved it");
+        let root = repo.root(d).unwrap();
+        repo.insert_element(d, root, InsertPos::First, "GROW")
+            .unwrap();
+        grown += 1;
+    }
+    let expected = repo.get_xml(name).unwrap();
+    drop(repo);
+
+    let m2 = Machine::boot(Arc::clone(&store), m.log.durable_bytes(), None);
+    let reopened = Repository::open_on_backend_with_log(
+        m2.backend(),
+        Box::new(Arc::clone(&m2.log)),
+        options(),
+    )
+    .unwrap();
+    assert_eq!(
+        reopened.get_xml(name).unwrap(),
+        expected,
+        "root moved by insert {grown} was lost by recovery"
+    );
+}
+
 #[test]
 fn crash_recovery_shakespeare() {
     sweep(&shakespeare_docs());

@@ -86,6 +86,11 @@ struct OStep {
 /// Generates a random query as both its oracle steps and its rendered
 /// path expression (the exact string handed to `PathQuery::parse`).
 fn random_query(g: &mut Gen) -> (String, Vec<OStep>) {
+    random_query_over(g, TAGS)
+}
+
+/// [`random_query`] with name tests drawn from `tags`.
+fn random_query_over(g: &mut Gen, tags: &[&str]) -> (String, Vec<OStep>) {
     let nsteps = 1 + g.below(4);
     let mut path = String::new();
     let mut steps = Vec::new();
@@ -101,7 +106,7 @@ fn random_query(g: &mut Gen) -> (String, Vec<OStep>) {
             // Mostly known tags; sometimes a name no document ever uses
             // (must resolve to an empty result, not an error).
             _ if g.below(8) == 0 => OTest::Name("zz".to_string()),
-            _ => OTest::Name(TAGS[g.below(TAGS.len())].to_string()),
+            _ => OTest::Name(tags[g.below(tags.len())].to_string()),
         };
         match &test {
             OTest::Any => path.push('*'),
@@ -455,6 +460,132 @@ fn every_forced_plan_shape_matches_the_dom_oracle() {
             "{shape:?} was never exercised by the corpus"
         );
     }
+}
+
+/// The record-granular walker's rare branches, against the DOM oracle
+/// under every forced plan shape: deep documents bulkloaded with
+/// depth-aware packing store late children in continuation groups whose
+/// prefix chains split across records at small pages, and with
+/// `proxy_digests: false` every proxy must be read to learn its child's
+/// label. A shape either answers exactly as the oracle or refuses with
+/// `PlanUnsupported`.
+#[test]
+fn forced_plan_shapes_match_the_dom_oracle_on_packed_and_digestless_layouts() {
+    const DEEP_TAGS: &[&str] = &["SECTION", "META", "NOTE", "TAIL"];
+    let fixed = [
+        "//TAIL",
+        "//*",
+        "//text()",
+        "//META/NOTE",
+        "//NOTE/text()",
+        "//SECTION/TAIL",
+        "/SECTION/TAIL",
+        "/SECTION/*",
+        "/SECTION/SECTION/SECTION//TAIL",
+        "/SECTION/SECTION/META/NOTE",
+        "//SECTION[3]/TAIL",
+        "/SECTION/SECTION[1]/SECTION/TAIL[1]",
+    ];
+    let mut seeded = 0usize;
+    for (case, proxy_digests) in [(0u64, true), (1, false), (2, true), (3, false)] {
+        let mut g = Gen::new(0xDEE9 ^ case);
+        let mut syms = SymbolTable::new();
+        let doc = natix_corpus::generate_deep(
+            &natix_corpus::DeepConfig {
+                depth: 120 + 60 * case as usize,
+                straggler_every: 1 + case as usize % 2,
+                seed: 0xDEE9_0000 + case,
+                ..natix_corpus::DeepConfig::tiny()
+            },
+            &mut syms,
+        );
+        let page_size = [512usize, 1024][case as usize % 2];
+        let r = Repository::create_in_memory(RepositoryOptions {
+            page_size,
+            matrix: natix_tree::SplitMatrix::all_other(),
+            tree_config: natix_tree::TreeConfig {
+                depth_packing: true,
+                proxy_digests,
+                ..natix_tree::TreeConfig::paper()
+            },
+            ..RepositoryOptions::default()
+        })
+        .unwrap();
+        *r.symbols_mut() = syms.clone();
+        let id = r.put_document("d", &doc).unwrap();
+
+        let dom_pos: HashMap<NodeIdx, usize> =
+            doc.pre_order().enumerate().map(|(i, n)| (n, i)).collect();
+        let repo_pos: HashMap<NodeId, usize> = collect_preorder_ids(&r, id)
+            .into_iter()
+            .enumerate()
+            .map(|(i, n)| (n, i))
+            .collect();
+        assert_eq!(repo_pos.len(), dom_pos.len(), "case {case}: node count");
+
+        let mut queries: Vec<(String, Vec<OStep>)> = fixed
+            .iter()
+            .map(|p| (p.to_string(), parse_osteps(p)))
+            .collect();
+        queries.extend((0..8).map(|_| random_query_over(&mut g, DEEP_TAGS)));
+        for (path, osteps) in &queries {
+            let q = PathQuery::parse(path).unwrap();
+            let oracle_pos: Vec<usize> = oracle_eval(&doc, &syms, osteps)
+                .iter()
+                .map(|n| dom_pos[n])
+                .collect();
+            for &shape in ALL_SHAPES {
+                let forced = PlannerOptions {
+                    force: Some(shape),
+                    ..PlannerOptions::default()
+                };
+                match r.query_planned_parsed(id, &q, &forced) {
+                    Ok((ids, _)) => {
+                        let pos: Vec<usize> = ids.iter().map(|n| repo_pos[n]).collect();
+                        assert_eq!(
+                            pos, oracle_pos,
+                            "case {case} (digests {proxy_digests}) '{path}' forced {shape:?}"
+                        );
+                        if shape == PlanShape::SummarySeeded && !ids.is_empty() {
+                            seeded += 1;
+                        }
+                    }
+                    Err(NatixError::PlanUnsupported(_)) => {}
+                    Err(e) => panic!("case {case} '{path}' forced {shape:?}: {e}"),
+                }
+            }
+        }
+    }
+    assert!(seeded >= 16, "too few non-empty seeded descents ({seeded})");
+}
+
+/// Oracle steps of a path expression in the generated-query grammar.
+fn parse_osteps(path: &str) -> Vec<OStep> {
+    let mut steps = Vec::new();
+    let mut rest = path;
+    while let Some(r) = rest.strip_prefix('/') {
+        let (descendant, r) = match r.strip_prefix('/') {
+            Some(r) => (true, r),
+            None => (false, r),
+        };
+        let end = r.find('/').unwrap_or(r.len());
+        let (token, position) = match r[..end].split_once('[') {
+            Some((name, pred)) => (name, pred.strip_suffix(']').unwrap().parse().ok()),
+            None => (&r[..end], None),
+        };
+        let test = match token {
+            "*" => OTest::Any,
+            "text()" => OTest::Text,
+            name => OTest::Name(name.to_string()),
+        };
+        steps.push(OStep {
+            descendant,
+            test,
+            position,
+        });
+        rest = &r[end..];
+    }
+    steps
 }
 
 /// Satellite pin: a query whose name test is not even in the symbol

@@ -21,7 +21,9 @@
 //! * [`disk`] — the [`disk::DiskBackend`] trait with in-memory and file
 //!   backends.
 //! * [`simdisk`] — a seek/rotation/transfer cost model replaying the paper's
-//!   IBM DCAS 34330W measurement disk (see DESIGN.md, substitutions).
+//!   IBM DCAS 34330W measurement disk, which stands in for the paper's
+//!   hardware: its seek and rotation costs set the shape of the paper's
+//!   figures, and no modern device reproduces them.
 //! * [`buffer`] — a pin/unpin buffer manager with LRU and clock eviction.
 //! * [`segment`] — segment management and page allocation.
 //! * [`freespace`] — the free-space inventory used to place records.

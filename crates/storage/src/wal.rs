@@ -155,6 +155,7 @@ const KIND_FREE: u8 = 8;
 const KIND_SEG_CREATE: u8 = 9;
 const KIND_DOC_DELETE: u8 = 10;
 const KIND_SYMBOLS: u8 = 11;
+const KIND_ROOT_MOVE: u8 = 12;
 
 /// Per-segment part of a [`StoreSnapshot`]: name plus the free-space
 /// inventory (page id, cached free bytes).
@@ -267,6 +268,17 @@ pub enum WalRecord {
         op: u64,
         /// Document name removed from the directory.
         name: String,
+    },
+    /// Operation `op` moved the root record of document `name` to `rid`
+    /// (applied only if the operation committed, on top of the directory
+    /// payload it post-dates).
+    RootMove {
+        /// Owning update operation.
+        op: u64,
+        /// Document whose root moved.
+        name: String,
+        /// The new root record.
+        rid: Rid,
     },
     /// Label-alphabet growth: `rows` are the `(kind code, name)` rows at
     /// ids `base..base + rows.len()`. Appended by the commit hook whenever
@@ -471,6 +483,13 @@ impl WalRecord {
                 put_u64(&mut out, *op);
                 put_bytes(&mut out, name.as_bytes());
             }
+            WalRecord::RootMove { op, name, rid } => {
+                out.push(KIND_ROOT_MOVE);
+                put_u64(&mut out, *op);
+                put_bytes(&mut out, name.as_bytes());
+                put_u32(&mut out, rid.page);
+                put_u16(&mut out, rid.slot);
+            }
         }
         out
     }
@@ -548,6 +567,17 @@ impl WalRecord {
                 let op = r.u64()?;
                 let name = r.string()?;
                 WalRecord::DocDelete { op, name }
+            }
+            KIND_ROOT_MOVE => {
+                let op = r.u64()?;
+                let name = r.string()?;
+                let page = r.u32()?;
+                let slot = r.u16()?;
+                WalRecord::RootMove {
+                    op,
+                    name,
+                    rid: Rid::new(page, slot),
+                }
             }
             k => {
                 return Err(StorageError::Corrupt(format!(
@@ -1133,6 +1163,11 @@ mod tests {
             WalRecord::DocDelete {
                 op: 12,
                 name: "gone".into(),
+            },
+            WalRecord::RootMove {
+                op: 13,
+                name: "moved".into(),
+                rid: Rid::new(21, 4),
             },
             WalRecord::Symbols {
                 base: 4,

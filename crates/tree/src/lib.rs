@@ -64,7 +64,8 @@ pub use model::{NodePtr, PContent, PNode, PNodeId, RecordTree};
 pub use reconstruct::{reconstruct_document, serialize_xml, subtree_text, traverse, VisitEvent};
 pub use split::{find_separator, plan_split, SplitPlan};
 pub use store::{
-    AppendCursor, InsertPos, NewNode, NodeInfo, OpResult, RecordEntry, Relocation, TreeStore,
+    AppendCursor, ChildStep, InsertPos, NewNode, NodeInfo, OpResult, RecordEntry, Relocation,
+    TreeStore,
 };
 pub use validate::{check_tree, PhysicalStats};
 pub use version::{ReadPin, VersionStore, WriteOp};

@@ -17,12 +17,14 @@
 //! these events. Standalone parent pointers (Appendix A) are maintained by
 //! deferred 8-byte patches collected per operation.
 
+use std::cell::OnceCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use natix_storage::segment::PlacementHint;
 use natix_storage::slotted::{SlottedPage, SlottedPageRef, SLOT_ENTRY_SIZE};
 use natix_storage::{AccessHint, PageKind, Rid, SegmentId, StorageError, StorageManager};
-use natix_xml::{LabelId, LiteralValue, LABEL_NONE};
+use natix_xml::{LabelId, LiteralValue, LABEL_COMMENT, LABEL_NONE, LABEL_PI, LABEL_TEXT};
 
 use crate::config::TreeConfig;
 use crate::error::{TreeError, TreeResult};
@@ -284,12 +286,16 @@ impl TreeStore {
     }
 
     /// Digest label for a proxy referencing `child`: the child record
-    /// root's label when that root is a facade (readers can then prune
-    /// the child without loading its page), [`LABEL_NONE`] ("must read")
-    /// for scaffolding-rooted children or with digests disabled.
+    /// root's label when that root is an element facade (readers can then
+    /// prune the child without loading its page, and know it is not a
+    /// literal), [`LABEL_NONE`] ("must read") for scaffolding- and
+    /// literal-rooted children or with digests disabled.
     pub(crate) fn proxy_digest(&self, child: &RecordTree) -> LabelId {
         let root = child.node(child.root());
-        if self.config.proxy_digests && root.is_facade() {
+        if self.config.proxy_digests
+            && root.is_facade()
+            && matches!(root.content, PContent::Aggregate(_))
+        {
             root.label
         } else {
             LABEL_NONE
@@ -1058,7 +1064,7 @@ impl TreeStore {
                 let t = owned.as_ref().unwrap_or(tree);
                 let n = t.node(node);
                 if n.is_facade() {
-                    return Ok(Some(NodePtr::new(rid, preorder_index(t, node))));
+                    return Ok(Some(NodePtr::new(rid, node)));
                 }
                 if n.is_prefix() {
                     // Chain index = number of (prefix) ancestors above.
@@ -1175,13 +1181,10 @@ impl TreeStore {
         let parent_label = {
             // The logical parent may live in the site's record or higher.
             if logical_parent.rid == site.rid {
-                site.tree
-                    .try_node(preorder_to_arena(&site.tree, logical_parent.node))
-                    .map(|n| n.label)
+                site.tree.try_node(logical_parent.node).map(|n| n.label)
             } else {
                 let t = self.load_current(logical_parent.rid)?;
-                t.try_node(preorder_to_arena(&t, logical_parent.node))
-                    .map(|n| n.label)
+                t.try_node(logical_parent.node).map(|n| n.label)
             }
         }
         .ok_or(TreeError::BadNodePtr {
@@ -1265,7 +1268,7 @@ impl TreeStore {
             // the caller normalizes the cluster and retries.
             return Err(TreeError::PackedRecord(parent.rid));
         }
-        let pnode = preorder_to_arena(&tree, parent.node);
+        let pnode = parent.node;
         let n = tree.try_node(pnode).ok_or(TreeError::BadNodePtr {
             rid: parent.rid,
             node: parent.node,
@@ -1435,7 +1438,7 @@ impl TreeStore {
         if tree_is_packed(&tree) {
             return Err(TreeError::PackedRecord(ptr.rid));
         }
-        let arena = preorder_to_arena(&tree, ptr.node);
+        let arena = ptr.node;
         let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
             rid: ptr.rid,
             node: ptr.node,
@@ -1464,7 +1467,7 @@ impl TreeStore {
         if tree_is_packed(&tree) {
             return Err(TreeError::PackedRecord(ptr.rid));
         }
-        let arena = preorder_to_arena(&tree, ptr.node);
+        let arena = ptr.node;
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
                 rid: ptr.rid,
@@ -1834,7 +1837,7 @@ impl TreeStore {
     /// Information about the node at `ptr`.
     pub fn node_info(&self, ptr: NodePtr) -> TreeResult<NodeInfo> {
         let tree = self.load(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
+        let arena = ptr.node;
         let n = tree.try_node(arena).ok_or(TreeError::BadNodePtr {
             rid: ptr.rid,
             node: ptr.node,
@@ -1853,218 +1856,238 @@ impl TreeStore {
     /// The logical children of the facade node at `ptr`, crossing proxies
     /// and skipping scaffolding.
     pub fn logical_children(&self, ptr: NodePtr) -> TreeResult<Vec<NodePtr>> {
-        Ok(self
-            .logical_children_labeled(ptr)?
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect())
+        let mut out = Vec::new();
+        self.for_each_logical_child(ptr, &mut |child, _, _| {
+            out.push(child);
+            Ok(true)
+        })?;
+        Ok(out)
     }
 
-    /// [`logical_children`](Self::logical_children) with each child's
-    /// label alongside its pointer. Proxy label digests make this cheaper
-    /// than `logical_children` + `node_info` per child: a digested proxy
-    /// yields `(child root, digest)` with **no page read** — only
-    /// digest-less proxies (scaffolding-rooted children, pre-format-2
-    /// records) are resolved by loading the child record.
-    pub fn logical_children_labeled(&self, ptr: NodePtr) -> TreeResult<Vec<(NodePtr, LabelId)>> {
-        let tree = self.load(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
+    /// Calls `f(child, label, literal)` for each logical child of the
+    /// facade node at `ptr`, in document order; `f` returning `false`
+    /// stops the walk, and no further proxy records are read. Positional
+    /// path predicates like `SPEECH[1]` rely on this to avoid loading a
+    /// whole scene to find its first speech.
+    ///
+    /// The record holding `ptr` is decoded **once** per call, and every
+    /// child's label and literal flag come from an already-decoded record:
+    /// local children from `ptr`'s own record, children behind a digested
+    /// proxy from the digest (**no page read**), and only digest-less
+    /// proxies (scaffolding-rooted children, literal roots, pre-format-2
+    /// records) and continuation groups from their own record, decoded
+    /// once each. Matching a child step therefore needs no per-child
+    /// [`node_info`](Self::node_info).
+    pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
+    where
+        F: FnMut(NodePtr, LabelId, bool) -> TreeResult<bool>,
+    {
+        let rec = self.decode_at(ptr)?;
+        self.visit_children(&rec, ptr.node, &mut |child, label, literal| {
+            f(child.ptr(), label, literal)
+        })
+    }
+
+    /// A pruned, cross-record descent below `start`, in document order.
+    ///
+    /// For each logical child of an entered node, `f(state, label,
+    /// literal)` receives the parent's state and decides whether the
+    /// child is emitted into `out` and whether the descent enters it
+    /// (with the child's own state). `start` itself is entered with
+    /// `state` and never emitted. `f` sees a node's children in order,
+    /// before any of their descendants; emission is document order.
+    ///
+    /// The walk is record-granular: each record it enters is loaded and
+    /// decoded **once** (through the versioned [`load`](Self::load), so
+    /// the caller's read snapshot applies), its spilled path is computed
+    /// once, and its nodes are walked by arena index. A child behind a
+    /// digested proxy that is emitted but not entered costs no page read.
+    /// Proxies, scaffolding, prefix and continuation entries follow the
+    /// rules of [`for_each_logical_child`](Self::for_each_logical_child).
+    /// A decoded record lives only while the walk still holds one of its
+    /// nodes, so memory is bounded by the pending frontier, not by the
+    /// document.
+    pub fn descend_pruned<S, F>(
+        &self,
+        start: NodePtr,
+        state: S,
+        out: &mut Vec<NodePtr>,
+        mut f: F,
+    ) -> TreeResult<()>
+    where
+        F: FnMut(&S, LabelId, bool) -> ChildStep<S>,
+    {
+        let rec = self.decode_at(start)?;
+        let mut stack = vec![(ChildAt::Node(rec, start.node), false, Some(state))];
+        let mut frame = Vec::new();
+        while let Some((at, emit, enter)) = stack.pop() {
+            if emit {
+                out.push(at.ptr());
+            }
+            let Some(state) = enter else { continue };
+            let (rec, node) = match at {
+                ChildAt::Node(rec, node) => (rec, node),
+                ChildAt::Digested(rid) => {
+                    let rec = self.decode(rid)?;
+                    let root = rec.tree.root();
+                    (rec, root)
+                }
+            };
+            self.visit_children(&rec, node, &mut |child, label, literal| {
+                let step = f(&state, label, literal);
+                if step.emit || step.enter.is_some() {
+                    frame.push((child, step.emit, step.enter));
+                }
+                Ok(true)
+            })?;
+            stack.extend(frame.drain(..).rev());
+        }
+        Ok(())
+    }
+
+    /// Loads and decodes `rid` for record-granular walking.
+    fn decode(&self, rid: Rid) -> TreeResult<Rc<Decoded>> {
+        Ok(Rc::new(Decoded::new(rid, self.load(rid)?)))
+    }
+
+    /// [`decode`](Self::decode) of `ptr`'s record, checking that `ptr`
+    /// names a node in it.
+    fn decode_at(&self, ptr: NodePtr) -> TreeResult<Rc<Decoded>> {
+        let rec = self.decode(ptr.rid)?;
+        if rec.tree.try_node(ptr.node).is_none() {
             return Err(TreeError::BadNodePtr {
                 rid: ptr.rid,
                 node: ptr.node,
             });
         }
-        let mut out = Vec::new();
-        self.expand_children(ptr.rid, &tree, arena, &mut out)?;
-        Ok(out)
+        Ok(rec)
     }
 
-    fn expand_children(
-        &self,
-        rid: Rid,
-        tree: &RecordTree,
-        node: PNodeId,
-        out: &mut Vec<(NodePtr, LabelId)>,
-    ) -> TreeResult<()> {
-        for &c in tree.children(node) {
-            let n = tree.node(c);
-            match n.content {
+    /// Calls `f` for each logical child of `node` in the decoded record
+    /// `rec`, crossing proxies (digested ones without a read), descending
+    /// through scaffolding-rooted child records, skipping prefix and
+    /// continuation entries, and appending the late children a
+    /// continuation group holds for a node on the record's spilled path.
+    /// `f` returning `false` stops the walk.
+    fn visit_children<F>(&self, rec: &Rc<Decoded>, node: PNodeId, f: &mut F) -> TreeResult<bool>
+    where
+        F: FnMut(ChildAt, LabelId, bool) -> TreeResult<bool>,
+    {
+        for &c in rec.tree.children(node) {
+            let n = rec.tree.node(c);
+            let go_on = match n.content {
+                // Label digest: the child is an element-rooted record (see
+                // `proxy_digest`) with its root at index 0 — no page read.
+                PContent::Proxy(target) if n.label != LABEL_NONE => f(
+                    ChildAt::Digested(target),
+                    n.label,
+                    digest_is_literal(n.label),
+                )?,
                 PContent::Proxy(target) => {
-                    if n.label != LABEL_NONE {
-                        // Label digest: the child is facade-rooted (a
-                        // digest is only ever written for one) with this
-                        // label at pre-order index 0 — no page read.
-                        out.push((NodePtr::new(target, 0), n.label));
-                        continue;
-                    }
-                    let child = self.load(target)?;
-                    let root = child.root();
-                    if child.node(root).is_scaffolding_aggregate() {
-                        self.expand_children(target, &child, root, out)?;
-                    } else if child.node(root).is_prefix() {
+                    let child = self.decode(target)?;
+                    let root = child.tree.root();
+                    let rn = child.tree.node(root);
+                    if rn.is_scaffolding_aggregate() {
+                        self.visit_children(&child, root, f)?
+                    } else if rn.is_prefix() {
                         // The lower half of a split prefix chain: its root
                         // prefix copies *this* node's next spilled level,
                         // so only content of deeper levels hangs here —
                         // none of it is a child of `node`.
-                        debug_assert!(tree.node(node).is_prefix());
+                        debug_assert!(rec.tree.node(node).is_prefix());
+                        true
                     } else {
-                        out.push((
-                            NodePtr::new(target, preorder_index(&child, root)),
-                            child.node(root).label,
-                        ));
+                        let (label, literal) =
+                            (rn.label, matches!(rn.content, PContent::Literal(_)));
+                        f(ChildAt::Node(child, root), label, literal)?
                     }
                 }
-                // Deeper levels' late children — not children of `node`.
-                PContent::Prefix(_) => {}
-                // Late children of this record's spilled path: appended
-                // below, from the continuation group's matching prefix.
-                PContent::Continuation(_) => {}
-                _ => out.push((NodePtr::new(rid, preorder_index(tree, c)), n.label)),
+                // Deeper levels' late children, and the placeholder for
+                // this record's own late children (appended below) — not
+                // children of `node` in place.
+                PContent::Prefix(_) | PContent::Continuation(_) => true,
+                PContent::Literal(_) => f(ChildAt::Node(Rc::clone(rec), c), n.label, true)?,
+                PContent::Aggregate(_) => f(ChildAt::Node(Rc::clone(rec), c), n.label, false)?,
+            };
+            if !go_on {
+                return Ok(false);
             }
         }
-        // Depth-aware packing: when the record has a continuation and
-        // `node` sits on its spilled path, the node's child list continues
-        // in the group record, under the prefix entry copying it.
-        if let Some((_, path, group)) = spilled_path(tree) {
-            if let Some(i) = path.iter().position(|&p| p == node) {
-                self.expand_group_children(group, i, out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends the logical children stored in continuation group
-    /// `group_rid` under prefix-chain index `level` (late children of the
-    /// copied ancestor). A chain split across group records (the group
-    /// itself spilled inside its prefix chain) is followed through the
-    /// prefix-rooted lower piece.
-    fn expand_group_children(
-        &self,
-        group_rid: Rid,
-        level: usize,
-        out: &mut Vec<(NodePtr, LabelId)>,
-    ) -> TreeResult<()> {
-        let group = self.load(group_rid)?;
-        let chain = prefix_chain(&group);
-        if let Some(&pnode) = chain.get(level) {
-            return self.expand_children(group_rid, &group, pnode, out);
-        }
-        // The level's prefix lives in the lower piece of a split chain,
-        // proxied from the deepest prefix of this record.
-        let Some(&last) = chain.last() else {
-            return Ok(());
-        };
-        for &c in group.children(last) {
-            if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load(target)?;
-                if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children(target, level - chain.len(), out);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Lazy variant of [`logical_children`](Self::logical_children):
-    /// calls `f` for each logical child in order; `f` returning `false`
-    /// stops the walk (and no further proxy records are read). Positional
-    /// path predicates like `SPEECH[1]` rely on this to avoid loading a
-    /// whole scene to find its first speech.
-    pub fn for_each_logical_child<F>(&self, ptr: NodePtr, f: &mut F) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
-    {
-        let tree = self.load(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
-        if tree.try_node(arena).is_none() {
-            return Err(TreeError::BadNodePtr {
-                rid: ptr.rid,
-                node: ptr.node,
-            });
-        }
-        self.expand_children_lazy(ptr.rid, &tree, arena, f)
-    }
-
-    fn expand_children_lazy<F>(
-        &self,
-        rid: Rid,
-        tree: &RecordTree,
-        node: PNodeId,
-        f: &mut F,
-    ) -> TreeResult<bool>
-    where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
-    {
-        for &c in tree.children(node) {
-            match tree.node(c).content {
-                PContent::Proxy(target) => {
-                    if tree.node(c).label != LABEL_NONE {
-                        // Label digest: facade-rooted child, root at
-                        // pre-order index 0 — no page read needed.
-                        if !f(NodePtr::new(target, 0))? {
-                            return Ok(false);
-                        }
-                        continue;
+        // Depth-aware packing: when `node` sits on the record's spilled
+        // path, its child list continues in the continuation group, under
+        // the prefix entry copying it.
+        if let Some((path, group_rid)) = &rec.spilled {
+            if let Some(level) = path.iter().position(|&p| p == node) {
+                let group = match rec.group.get() {
+                    Some(g) => Rc::clone(g),
+                    None => {
+                        let g = self.decode(*group_rid)?;
+                        Rc::clone(rec.group.get_or_init(|| g))
                     }
-                    let child = self.load(target)?;
-                    let root = child.root();
-                    if child.node(root).is_scaffolding_aggregate() {
-                        if !self.expand_children_lazy(target, &child, root, f)? {
-                            return Ok(false);
-                        }
-                    } else if child.node(root).is_prefix() {
-                        // Split prefix chain's lower piece: deeper levels
-                        // only (see `expand_children`).
-                        debug_assert!(tree.node(node).is_prefix());
-                    } else if !f(NodePtr::new(target, preorder_index(&child, root)))? {
-                        return Ok(false);
-                    }
-                }
-                PContent::Prefix(_) | PContent::Continuation(_) => {}
-                _ => {
-                    if !f(NodePtr::new(rid, preorder_index(tree, c)))? {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        // Late children from the continuation group (depth-aware packing).
-        if let Some((_, path, group)) = spilled_path(tree) {
-            if let Some(i) = path.iter().position(|&p| p == node) {
-                return self.expand_group_children_lazy(group, i, f);
+                };
+                return self.visit_group_children(&group, level, f);
             }
         }
         Ok(true)
     }
 
-    /// Lazy counterpart of [`expand_group_children`](Self::expand_group_children).
-    fn expand_group_children_lazy<F>(
+    /// Calls `f` for the logical children a continuation group holds
+    /// under prefix-chain index `level` (late children of the copied
+    /// ancestor). A chain split across group records (the group itself
+    /// spilled inside its prefix chain) is followed through the
+    /// prefix-rooted lower piece, decoded once per group.
+    fn visit_group_children<F>(
         &self,
-        group_rid: Rid,
+        group: &Rc<Decoded>,
         level: usize,
         f: &mut F,
     ) -> TreeResult<bool>
     where
-        F: FnMut(NodePtr) -> TreeResult<bool>,
+        F: FnMut(ChildAt, LabelId, bool) -> TreeResult<bool>,
     {
-        let group = self.load(group_rid)?;
-        let chain = prefix_chain(&group);
-        if let Some(&pnode) = chain.get(level) {
-            return self.expand_children_lazy(group_rid, &group, pnode, f);
+        if let Some(&pnode) = group.chain.get(level) {
+            return self.visit_children(group, pnode, f);
         }
+        let lower = match group.lower.get() {
+            Some(lower) => lower.clone(),
+            None => {
+                let found = self
+                    .find_lower_piece(&group.tree, &group.chain, AccessHint::Normal)?
+                    .map(|(rid, tree)| Rc::new(Decoded::new(rid, tree)));
+                group.lower.get_or_init(|| found).clone()
+            }
+        };
+        match lower {
+            Some(lower) => self.visit_group_children(&lower, level - group.chain.len(), f),
+            None => Ok(true),
+        }
+    }
+
+    /// The prefix-rooted lower piece of a split prefix chain, proxied from
+    /// the deepest prefix of the continuation-group record `group` whose
+    /// prefix chain is `chain`. Digested proxies root facades, so only
+    /// digest-less ones are read.
+    fn find_lower_piece(
+        &self,
+        group: &RecordTree,
+        chain: &[PNodeId],
+        hint: AccessHint,
+    ) -> TreeResult<Option<(Rid, RecordTree)>> {
         let Some(&last) = chain.last() else {
-            return Ok(true);
+            return Ok(None);
         };
         for &c in group.children(last) {
-            if let PContent::Proxy(target) = group.node(c).content {
-                let child = self.load(target)?;
-                if child.node(child.root()).is_prefix() {
-                    return self.expand_group_children_lazy(target, level - chain.len(), f);
+            let n = group.node(c);
+            if let PContent::Proxy(target) = n.content {
+                if n.label == LABEL_NONE {
+                    let child = self.load_hinted(target, hint)?;
+                    if child.node(child.root()).is_prefix() {
+                        return Ok(Some((target, child)));
+                    }
                 }
             }
         }
-        Ok(true)
+        Ok(None)
     }
 
     /// Scans the subtree of `ptr` **within its own record only**, calling
@@ -2082,7 +2105,7 @@ impl TreeStore {
         // Scan-hinted load: record-queue scans touch each page once, so
         // their frames enter the buffer pool at cold priority.
         let tree = self.load_hinted(ptr.rid, AccessHint::Scan)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
+        let arena = ptr.node;
         if tree.try_node(arena).is_none() {
             return Err(TreeError::BadNodePtr {
                 rid: ptr.rid,
@@ -2128,7 +2151,7 @@ impl TreeStore {
                 PContent::Literal(_) => {
                     if node.is_facade()
                         && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
+                            ptr: NodePtr::new(ptr.rid, n),
                             label: node.label,
                             literal: true,
                         })?
@@ -2139,7 +2162,7 @@ impl TreeStore {
                 PContent::Aggregate(_) => {
                     if node.is_facade()
                         && !f(&RecordEntry::Node {
-                            ptr: NodePtr::new(ptr.rid, preorder_index(&tree, n)),
+                            ptr: NodePtr::new(ptr.rid, n),
                             label: node.label,
                             literal: false,
                         })?
@@ -2156,7 +2179,9 @@ impl TreeStore {
     }
 
     /// Resolves the scan entry point of a continuation group: the prefix
-    /// entry matching the scan start's level on the holder's spilled path.
+    /// entry matching the scan start's level on the holder's spilled path,
+    /// followed into the lower piece when the group's prefix chain is
+    /// split across records.
     fn continuation_entry(
         &self,
         tree: &RecordTree,
@@ -2166,24 +2191,32 @@ impl TreeStore {
         let (_, path, _) = spilled_path(tree).ok_or_else(|| {
             TreeError::Invariant("continuation entry on a record with no continuation".into())
         })?;
-        let i0 = path.iter().position(|&p| p == start).ok_or_else(|| {
+        let mut level = path.iter().position(|&p| p == start).ok_or_else(|| {
             TreeError::Invariant("scan start is not on the record's spilled path".into())
         })?;
-        let group = self.load_hinted(target, AccessHint::Scan)?;
-        let chain = prefix_chain(&group);
-        let node = *chain.get(i0).ok_or_else(|| {
-            TreeError::Invariant(format!(
-                "continuation group {target}: prefix chain shorter than spilled path"
-            ))
-        })?;
-        Ok(NodePtr::new(target, preorder_index(&group, node)))
+        let (mut rid, mut group) = (target, self.load_hinted(target, AccessHint::Scan)?);
+        loop {
+            let chain = prefix_chain(&group);
+            if let Some(&node) = chain.get(level) {
+                return Ok(NodePtr::new(rid, node));
+            }
+            let (lower_rid, lower) = self
+                .find_lower_piece(&group, &chain, AccessHint::Scan)?
+                .ok_or_else(|| {
+                    TreeError::Invariant(format!(
+                        "continuation group {target}: prefix chain shorter than spilled path"
+                    ))
+                })?;
+            level -= chain.len();
+            (rid, group) = (lower_rid, lower);
+        }
     }
 
     /// The logical parent of the facade node at `ptr` (`None` for the tree
     /// root).
     pub fn logical_parent(&self, ptr: NodePtr) -> TreeResult<Option<NodePtr>> {
         let tree = self.load(ptr.rid)?;
-        let arena = preorder_to_arena(&tree, ptr.node);
+        let arena = ptr.node;
         let parent = tree
             .try_node(arena)
             .ok_or(TreeError::BadNodePtr {
@@ -2259,19 +2292,81 @@ struct Site {
     index: usize,
 }
 
-/// Maps a pre-order index back to an arena id. For freshly loaded trees
-/// these coincide (deserialisation numbers nodes in pre-order).
-fn preorder_to_arena(tree: &RecordTree, pre: PNodeId) -> PNodeId {
-    // Loaded trees are never mutated before resolution, so this is the
-    // identity; kept as a function for clarity and future caching.
-    let _ = tree;
-    pre
+/// A pruned descent's verdict on one logical child (see
+/// [`TreeStore::descend_pruned`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChildStep<S> {
+    /// Report the child in the descent's output.
+    pub emit: bool,
+    /// Walk the child's own children, carrying this state.
+    pub enter: Option<S>,
 }
 
-/// Pre-order index of an (unmutated, freshly loaded) arena node.
-fn preorder_index(tree: &RecordTree, arena: PNodeId) -> PNodeId {
-    let _ = tree;
-    arena
+impl<S> ChildStep<S> {
+    /// Neither emit nor enter: the child is pruned.
+    pub fn skip() -> ChildStep<S> {
+        ChildStep {
+            emit: false,
+            enter: None,
+        }
+    }
+}
+
+/// A record decoded once for a record-granular walk, with the per-record
+/// facts child expansion needs computed once.
+struct Decoded {
+    rid: Rid,
+    tree: RecordTree,
+    /// Spilled path (root first) and continuation-group RID, if any.
+    spilled: Option<(Vec<PNodeId>, Rid)>,
+    /// Prefix chain (non-empty for continuation-group records only).
+    chain: Vec<PNodeId>,
+    /// The continuation group, decoded on first use.
+    group: OnceCell<Rc<Decoded>>,
+    /// The lower piece of a split prefix chain, resolved on first use.
+    lower: OnceCell<Option<Rc<Decoded>>>,
+}
+
+impl Decoded {
+    fn new(rid: Rid, tree: RecordTree) -> Decoded {
+        let spilled = spilled_path(&tree).map(|(_, path, group)| (path, group));
+        let chain = prefix_chain(&tree);
+        Decoded {
+            rid,
+            tree,
+            spilled,
+            chain,
+            group: OnceCell::new(),
+            lower: OnceCell::new(),
+        }
+    }
+}
+
+/// Where a logical child lives. Decoded trees number their nodes in
+/// pre-order, so an arena id is the node half of a [`NodePtr`].
+enum ChildAt {
+    /// A node of a decoded record.
+    Node(Rc<Decoded>, PNodeId),
+    /// The root of a child record behind a digested proxy, not read.
+    Digested(Rid),
+}
+
+impl ChildAt {
+    fn ptr(&self) -> NodePtr {
+        match self {
+            ChildAt::Node(rec, node) => NodePtr::new(rec.rid, *node),
+            ChildAt::Digested(rid) => NodePtr::new(*rid, 0),
+        }
+    }
+}
+
+/// Whether a digested child is a literal. Digests are written for
+/// element roots only (see `TreeStore::proxy_digest`); images written
+/// before that rule may digest literal roots, whose labels are built-ins
+/// (text, comment, PI chunks) or attribute names. The built-ins are
+/// recognised here.
+fn digest_is_literal(label: LabelId) -> bool {
+    matches!(label, LABEL_TEXT | LABEL_COMMENT | LABEL_PI)
 }
 
 /// Finds the proxy (or continuation) node in `tree` pointing at `child`.
@@ -2309,6 +2404,9 @@ pub(crate) fn packed_site_is_plain(tree: &RecordTree, node: PNodeId) -> bool {
 /// The record's continuation placeholder and its target, if any (at most
 /// one per record — enforced by the validator).
 pub(crate) fn find_continuation(tree: &RecordTree) -> Option<(PNodeId, Rid)> {
+    if !tree.has_packed_entries() {
+        return None;
+    }
     tree.pre_order(tree.root()).into_iter().find_map(|n| {
         if let PContent::Continuation(target) = tree.node(n).content {
             Some((n, target))
